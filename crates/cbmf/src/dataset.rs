@@ -7,11 +7,16 @@ use cbmf_trace::Counter;
 use crate::basis::BasisSpec;
 use crate::error::CbmfError;
 
-/// Cache hits across all three per-state product caches (`BᵀB`, `Bᵀy`,
-/// column norms): calls served from an already-computed value.
+/// Cache hits across the per-state product caches (`BᵀB`, its columns,
+/// `Bᵀy`, column norms): calls served from an already-computed value.
 static GRAM_CACHE_HITS: Counter = Counter::new("cbmf.gram_cache.hits");
-/// Cache misses: calls that had to compute (and store) the product.
+/// Cache misses: calls that had to compute (and store) the product; each
+/// Gram column filled by [`StateData::gram_col`] counts as one.
 static GRAM_CACHE_MISSES: Counter = Counter::new("cbmf.gram_cache.misses");
+/// Full `M × M` Grams built by [`StateData::t_gram`]. The greedy selectors
+/// and the Algorithm-1 solver read columns only, so a cold batch fit builds
+/// none; the elastic net and the streaming append build one per state.
+static GRAM_CACHE_FULL_BUILDS: Counter = Counter::new("cbmf.gram_cache.full_builds");
 /// Sample rows appended to live problems by
 /// [`TunableProblem::append_samples`] (summed over states). Each appended
 /// row updates the Gram caches by a rank-1 correction instead of an
@@ -46,14 +51,22 @@ pub struct StateData {
 /// Lazily computed per-state products shared by every fitting algorithm.
 ///
 /// The greedy selectors, the cross-validation sweeps, and the incremental
-/// Bayesian solver all consume `B_kᵀB_k`, `B_kᵀy_k`, and the column norms;
-/// keeping them here means each is computed at most once per problem no
-/// matter how many sparsity candidates or greedy iterations touch the same
-/// training split. Cloning a [`StateData`] clones any already-computed
-/// values, which stay valid because the data fields are cloned with them.
+/// Bayesian solver consume `B_kᵀy_k`, the column norms, and the Gram
+/// columns `B_kᵀb_m` of the bases they have selected — a few dozen of the
+/// `M` columns. Those columns are filled one at a time, each behind its own
+/// `OnceLock`, so every (r0, σ0, θ) candidate and every thread sweeping the
+/// same training split shares them and no greedy run ever forms the full
+/// `M × M` Gram. The full Gram is built only when asked for (the elastic
+/// net, the streaming append). Each value is computed at most once per
+/// problem. Cloning a [`StateData`] clones any already-computed values,
+/// which stay valid because the data fields are cloned with them.
 #[derive(Debug, Clone, Default)]
 struct StateCaches {
     t_gram: OnceLock<Matrix>,
+    /// `B_kᵀ` (`M × N_k`), the operand of the per-column Gram products.
+    basis_t: OnceLock<Matrix>,
+    /// One slot per basis for column `m` of `B_kᵀB_k`.
+    gram_cols: OnceLock<Box<[OnceLock<Vec<f64>>]>>,
     bty: OnceLock<Vec<f64>>,
     col_norms: OnceLock<Vec<f64>>,
 }
@@ -69,7 +82,11 @@ impl StateData {
         self.y.is_empty()
     }
 
-    /// Cached Gram matrix `B_kᵀ B_k` (`M × M`), computed on first use.
+    /// Cached full Gram matrix `B_kᵀ B_k` (`M × M`), computed on first use.
+    ///
+    /// Only the elastic net and the streaming append need the whole matrix;
+    /// the greedy selectors read single columns through
+    /// [`StateData::gram_col`], which never builds it.
     ///
     /// The cached products assume `basis` and `y` are not mutated after
     /// construction; every constructor in this crate upholds that.
@@ -79,9 +96,50 @@ impl StateData {
             return g;
         }
         GRAM_CACHE_MISSES.inc();
-        self.caches
-            .t_gram
-            .get_or_init(|| self.basis.transpose().gram())
+        self.caches.t_gram.get_or_init(|| {
+            GRAM_CACHE_FULL_BUILDS.inc();
+            self.basis_t().gram()
+        })
+    }
+
+    /// Cached column `m` of `B_kᵀ B_k` (length `M`), computed on first use
+    /// at `O(N_k·M)` cost.
+    ///
+    /// The column is bitwise equal to column `m` of [`StateData::t_gram`]:
+    /// while no full Gram exists it comes from
+    /// [`Matrix::gram_col_into`], which reproduces the full product's bits;
+    /// once one exists (always, after [`TunableProblem::append_samples`]) it
+    /// is copied from that matrix's column. The column and not the row: the
+    /// rank-k-updated Gram of a streamed problem is not bitwise symmetric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not a basis index.
+    pub fn gram_col(&self, m: usize) -> &[f64] {
+        let cols = self
+            .caches
+            .gram_cols
+            .get_or_init(|| (0..self.basis.cols()).map(|_| OnceLock::new()).collect());
+        if let Some(c) = cols[m].get() {
+            GRAM_CACHE_HITS.inc();
+            return c;
+        }
+        GRAM_CACHE_MISSES.inc();
+        cols[m].get_or_init(|| {
+            if let Some(g) = self.caches.t_gram.get() {
+                return g.col(m);
+            }
+            let bt = self.basis_t();
+            let mut col = vec![0.0; bt.rows()];
+            bt.gram_col_into(m, &mut col)
+                .expect("basis index in range and column sized to M");
+            col
+        })
+    }
+
+    /// Cached transpose `B_kᵀ`.
+    fn basis_t(&self) -> &Matrix {
+        self.caches.basis_t.get_or_init(|| self.basis.transpose())
     }
 
     /// Cached correlation vector `B_kᵀ y_k` (length `M`), computed on first

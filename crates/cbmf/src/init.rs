@@ -314,8 +314,9 @@ fn select_with_bayes(
 /// by [`Cholesky::append_block`] at `O(K·(K·|S|)² + K³)` per greedy step —
 /// versus `O((NK)³)` for refactoring the observation-space covariance from
 /// scratch, or `O(K·(NK)²)` for rank-one updating it. All matrix entries
-/// come from the cached per-state products of [`StateData`]; the raw basis
-/// matrices are never touched after the caches are warm.
+/// come from the cached per-state products of [`StateData`] — `B_kᵀy_k`
+/// and the Gram column of each selected basis; the raw basis matrices are
+/// never touched after those caches are warm.
 struct IncrementalBayes<'a> {
     problem: &'a TunableProblem,
     /// R⁻¹ (K × K), shared by every diagonal block.
@@ -348,18 +349,20 @@ impl<'a> IncrementalBayes<'a> {
         let k = self.problem.num_states();
         let states = self.problem.states();
         let s2i = self.sigma0_sq_inv;
+        // Everything below reads column m of each state's Gram.
+        let cols: Vec<&[f64]> = states.iter().map(|st| st.gram_col(m)).collect();
         // New diagonal block: λ⁻¹·R⁻¹ + σ0⁻²·diag_k(‖b_{k,m}‖²).
         let mut a22 = self.r_inv.scaled(1.0 / lambda);
-        for (ki, st) in states.iter().enumerate() {
-            a22[(ki, ki)] += s2i * st.t_gram()[(m, m)];
+        for (ki, col) in cols.iter().enumerate() {
+            a22[(ki, ki)] += s2i * col[m];
         }
         // Cross block against each basis already in the factor: states do
         // not mix in the likelihood, so block j is the diagonal matrix
         // σ0⁻²·diag_k((B_kᵀB_k)[m_j, m]).
         let mut a21 = Matrix::zeros(k, self.support.len() * k);
         for (j, &sj) in self.support.iter().enumerate() {
-            for (ki, st) in states.iter().enumerate() {
-                a21[(ki, j * k + ki)] = s2i * st.t_gram()[(sj, m)];
+            for (ki, col) in cols.iter().enumerate() {
+                a21[(ki, j * k + ki)] = s2i * col[sj];
             }
         }
         match &mut self.chol {

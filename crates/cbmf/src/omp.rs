@@ -181,9 +181,11 @@ pub(crate) fn split_problem(
 /// The residual correlation is expanded through the cached per-state
 /// products, `b_mᵀ r_k = (B_kᵀy_k)[m] − Σ_j (B_kᵀB_k)[m, s_j]·c_{k,j}`, so
 /// one greedy step costs `O(M·|S|·K)` instead of `O(N·M·K)` and no residual
-/// vector is ever formed. The dictionary loop is chunk-parallel; each score
-/// is computed independently and stitched back in index order, so the
-/// result is bitwise identical at any thread count.
+/// vector is ever formed. Only the Gram columns of the selected bases
+/// `s_j` are read ([`StateData::gram_col`]); the full `M × M` Gram is never
+/// built. The dictionary loop is chunk-parallel; each score is computed
+/// independently and stitched back in index order, so the result is
+/// bitwise identical at any thread count.
 pub(crate) fn selection_scores(
     num_basis: usize,
     states: &[&StateData],
@@ -200,15 +202,22 @@ pub(crate) fn selection_scores(
     // K·(|S| + 2) fused multiply-adds.
     let per_index = states.len() * (support.len() + 2);
     let grain = (128 * 1024 / per_index.max(1)).max(1);
+    // Per state: (B_kᵀy_k, column norms, Gram columns of the support).
+    let products: Vec<_> = states
+        .iter()
+        .map(|st| {
+            let cols: Vec<&[f64]> = support.iter().map(|&sj| st.gram_col(sj)).collect();
+            (st.bty(), st.col_norms(), cols)
+        })
+        .collect();
     cbmf_parallel::par_map_indexed(num_basis, grain, |mi| {
         let mut score = 0.0;
-        for (st, crow) in states.iter().zip(coeff_rows) {
-            let mut corr = st.bty()[mi];
-            let gram = st.t_gram();
-            for (&sj, c) in support.iter().zip(*crow) {
-                corr -= gram[(mi, sj)] * c;
+        for ((bty, norms, cols), crow) in products.iter().zip(coeff_rows) {
+            let mut corr = bty[mi];
+            for (col, c) in cols.iter().zip(*crow) {
+                corr -= col[mi] * c;
             }
-            score += (corr / st.col_norms()[mi]).abs();
+            score += (corr / norms[mi]).abs();
         }
         score
     })

@@ -502,6 +502,78 @@ impl Matrix {
         Ok(())
     }
 
+    /// Column `j` of [`Matrix::gram`] written into `out` (fully
+    /// overwritten), at `O(rows·cols)` cost instead of the full product's
+    /// `O(rows²·cols)`.
+    ///
+    /// Every entry is bitwise equal to `self.gram()[(i, j)]` at any size,
+    /// ISA and thread count: the column takes the same kernel the full
+    /// product would take for this matrix (the decision is made on the full
+    /// product's MAC count) and reproduces that kernel's per-entry
+    /// accumulation order. On the blocked path that is the packed FMA order
+    /// of [`crate::block`]; on the streaming path it is `dot4` for the
+    /// entries the full kernel batches four at a time and `dot` for the rest.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::InvalidInput`] if `j >= self.rows()`.
+    /// * [`LinalgError::ShapeMismatch`] if `out.len() != self.rows()`.
+    pub fn gram_col_into(&self, j: usize, out: &mut [f64]) -> Result<(), LinalgError> {
+        let n = self.rows;
+        if j >= n {
+            return Err(LinalgError::InvalidInput {
+                what: format!("gram column {j} of a {n}-row matrix"),
+            });
+        }
+        if out.len() != n {
+            return Err(LinalgError::ShapeMismatch {
+                op: "gram_col_into(out)",
+                lhs: (n, 1),
+                rhs: (out.len(), 1),
+            });
+        }
+        PRODUCT_MACS.add((n * self.cols) as u64);
+        PRODUCT_F64S.add((self.data.len() + n) as u64);
+        let row_j = self.row(j);
+        if crate::block::wants_blocking(n * (n + 1) / 2 * self.cols) {
+            // Entry (i, j) of the SYRK accumulates the products of rows i
+            // and j slab by slab, exactly as this one-column GEMM does (the
+            // mirrored upper entries only swap the factors of exact products).
+            out.fill(0.0);
+            crate::block::gemm(
+                out,
+                n,
+                1,
+                &crate::block::View::normal(&self.data, n, self.cols),
+                &crate::block::View::transposed(row_j, 1, self.cols),
+            );
+            return Ok(());
+        }
+        // The streaming kernel computes lower entry (r, c), c ≤ r, in row r:
+        // with `dot4` when c's group of four ends at or before the diagonal,
+        // with `dot` otherwise. In column j that leaves `dot` for rows
+        // g..g+3 of j's diagonal 4×4 block (g = j - j % 4) unless j is the
+        // block's last row. Both kernels are symmetric in their operands.
+        let dot4_rows = |out: &mut [f64], lo: usize, hi: usize| {
+            for i0 in (lo..hi).step_by(4) {
+                // A short final group repeats its last row; lanes are
+                // independent, so the repeats change no kept lane.
+                let row = |l: usize| self.row((i0 + l).min(hi - 1));
+                let s = vecops::dot4(row_j, row(0), row(1), row(2), row(3));
+                let len = (hi - i0).min(4);
+                out[i0..i0 + len].copy_from_slice(&s[..len]);
+            }
+        };
+        let g = j - j % 4;
+        let dot_hi = if j % 4 == 3 { g } else { (g + 3).min(n) };
+        dot4_rows(out, 0, g);
+        for (i, o) in (g..dot_hi).zip(&mut out[g..dot_hi]) {
+            *o = vecops::dot(row_j, self.row(i));
+        }
+        dot4_rows(out, dot_hi, n);
+        Ok(())
+    }
+
     /// Weighted symmetric product `self * diag(w) * selfᵀ` written into a
     /// preallocated `out` (fully overwritten).
     ///

@@ -5,47 +5,16 @@
 //! the property that keeps the init sweep, EM iterations, and batched
 //! prediction hot loops allocation-free.
 //!
-//! Proven with a counting global allocator (the same technique as the
-//! trace crate's disabled-fast-path test), not asserted by inspection.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+//! Proven with the counting global allocator shared with the trace and
+//! serve allocation tests (`tests/support/counting_alloc.rs`, which counts
+//! the measuring thread only), not asserted by inspection.
 
 use cbmf_linalg::block::{with_config, BlockConfig};
 use cbmf_linalg::Matrix;
 
-/// Counts heap allocations while `ARMED` is set; delegates to the system
-/// allocator either way.
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with the allocation counter armed and returns how many heap
-/// allocations happened inside.
-fn allocations_during(f: impl FnOnce()) -> usize {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_during;
 
 #[test]
 fn blocked_gemm_and_syrk_allocate_nothing_in_steady_state() {

@@ -154,6 +154,86 @@ proptest! {
     }
 }
 
+/// Asserts every column from `gram_col_into` equals the matching column of
+/// `gram()` bit for bit, both computed under the caller's config and
+/// thread count.
+fn assert_gram_cols_bitwise(a: &Matrix, what: &str) {
+    let full = a.gram();
+    let mut col = vec![f64::NAN; a.rows()];
+    for j in 0..a.rows() {
+        a.gram_col_into(j, &mut col).expect("column in range");
+        for (i, v) in col.iter().enumerate() {
+            assert_eq!(
+                v.to_bits(),
+                full[(i, j)].to_bits(),
+                "{what}: gram column {j} differs at row {i}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// A single Gram column is bitwise equal to the full product's column on
+    /// both sides of the blocking threshold, with both microkernels; tiny
+    /// panels put several depth slabs into every shape with more than three
+    /// columns.
+    #[test]
+    fn gram_columns_match_full_gram_bitwise(
+        n in 1usize..=25,
+        c in 1usize..=25,
+        seed in 0u64..500,
+    ) {
+        let a = Matrix::from_fn(n, c, |i, j| {
+            ((i * 31 + j * 17 + seed as usize * 5) as f64 * 0.37).sin()
+        });
+        assert_gram_cols_bitwise(&a, "streaming");
+        with_config(naive(), || assert_gram_cols_bitwise(&a, "naive"));
+        for simd in [true, false] {
+            let cfg = BlockConfig { simd, ..tiny() };
+            with_config(cfg, || assert_gram_cols_bitwise(&a, &format!("tiny simd={simd}")));
+        }
+    }
+}
+
+/// The same contract at the default block sizes, at 1, 2 and 4 threads,
+/// under the detected ISA and the scalar microkernel: shapes just below and
+/// just above the default `min_macs` (n(n+1)/2·cols against 4 Mi), with one
+/// and with two depth slabs (`kc` = 256).
+#[test]
+fn gram_columns_match_full_gram_at_default_blocks_and_any_thread_count() {
+    let min_macs = BlockConfig::default().min_macs;
+    let shapes = [(150, 300), (170, 300), (300, 100), (8, 600), (40, 33)];
+    for (n, c) in shapes {
+        let a = Matrix::from_fn(n, c, |i, j| ((i * 13 + j * 7) as f64 * 0.61).cos());
+        let blocked = n * (n + 1) / 2 * c >= min_macs;
+        for simd in [true, false] {
+            let cfg = BlockConfig {
+                simd,
+                ..BlockConfig::default()
+            };
+            for threads in [1usize, 2, 4] {
+                cbmf_parallel::with_threads(threads, || {
+                    with_config(cfg, || {
+                        assert_gram_cols_bitwise(
+                            &a,
+                            &format!("{n}x{c} blocked={blocked} simd={simd} threads={threads}"),
+                        );
+                    });
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn gram_col_into_rejects_bad_arguments() {
+    let a = Matrix::from_fn(5, 3, |i, j| (i + j) as f64);
+    let mut out = vec![0.0; 5];
+    assert!(a.gram_col_into(5, &mut out).is_err());
+    assert!(a.gram_col_into(0, &mut out[..4]).is_err());
+    a.gram_col_into(4, &mut out).expect("valid column");
+}
+
 /// Shapes that straddle the *default* block sizes (mc = 96, kc = 256):
 /// one extra row/column/depth beyond each panel boundary.
 #[test]

@@ -1,49 +1,17 @@
 //! Allocation contract of the batched prediction hot loop: after one
 //! warm-up batch has seeded the pooled basis workspace, a steady-state
 //! `predict_batch` call allocates **only the output matrix** — the per-row
-//! basis evaluation and state loop never touch the heap. Proven with a
-//! counting global allocator, matching the blocked-kernel test in
-//! `cbmf-linalg`.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+//! basis evaluation and state loop never touch the heap. Proven with the
+//! per-thread counting global allocator shared with the blocked-kernel test
+//! in `cbmf-linalg` (`tests/support/counting_alloc.rs`).
 
 use cbmf::{BasisSpec, PerStateModel};
 use cbmf_linalg::Matrix;
 use cbmf_serve::BatchPredictor;
 
-/// Counts heap allocations while `ARMED` is set; delegates to the system
-/// allocator either way.
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with the allocation counter armed and returns how many heap
-/// allocations happened inside.
-fn allocations_during(f: impl FnOnce()) -> usize {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_during;
 
 fn test_model() -> PerStateModel {
     let d = 12;

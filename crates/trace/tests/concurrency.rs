@@ -10,46 +10,15 @@
 //! takes one shared lock; cargo runs this integration binary's tests in
 //! worker threads of a single process.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use cbmf_trace::{
     clear_enabled_override, reset, set_enabled, snapshot, span, Counter, Gauge, Json, ReportMeta,
 };
 
-/// Counts heap allocations while `ARMED` is set; delegates to the system
-/// allocator either way.
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with the allocation counter armed and returns how many heap
-/// allocations happened inside.
-fn allocations_during(f: impl FnOnce()) -> usize {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_during;
 
 fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
