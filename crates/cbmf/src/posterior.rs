@@ -123,36 +123,50 @@ impl MapPosterior {
             .map(|&l| l > Self::ACTIVE_EPS * lmax)
             .collect();
 
-        let mut t_blocks: Vec<Option<Matrix>> = (0..m)
-            .map(|mi| active[mi].then(|| Matrix::zeros(k, k)))
+        // T_m[ka, kb] for every basis, T_m stored at `t_all[m·K·K..]`. Each
+        // state pair (ka ≤ kb) is an independent task, fanned out across
+        // threads: one pass down the contiguous rows of B_ka and W
+        // accumulates all M entries at once, every entry summing its `n`
+        // terms in ascending order.
+        let pairs: Vec<(usize, usize)> = (0..k)
+            .flat_map(|ka| (ka..k).map(move |kb| (ka, kb)))
             .collect();
-        for ka in 0..k {
-            for kb in ka..k {
-                // Q = (C⁻¹) block (ka, kb); W = Q · B_kb  (N_a × M).
-                let (oa, na) = (ctx.offsets[ka], ctx.counts[ka]);
-                let (ob, nb) = (ctx.offsets[kb], ctx.counts[kb]);
-                let q = cinv.block(oa, oa + na, ob, ob + nb);
-                let w = q.matmul(&problem.states()[kb].basis)?;
-                let ba = &problem.states()[ka].basis;
-                for (mi, t) in t_blocks.iter_mut().enumerate() {
-                    let Some(t) = t else { continue };
-                    let mut acc = 0.0;
-                    for n in 0..na {
-                        acc += ba[(n, mi)] * w[(n, mi)];
-                    }
-                    t[(ka, kb)] = acc;
-                    t[(kb, ka)] = acc;
+        let per_pair = ctx.counts.iter().max().copied().unwrap_or(0).pow(2) * m;
+        let grain = (128 * 1024 / per_pair.max(1)).max(1);
+        let pair_sums = cbmf_parallel::par_map_indexed(pairs.len(), grain, |p| {
+            let (ka, kb) = pairs[p];
+            // Q = (C⁻¹) block (ka, kb); W = Q · B_kb  (N_a × M).
+            let (oa, na) = (ctx.offsets[ka], ctx.counts[ka]);
+            let (ob, nb) = (ctx.offsets[kb], ctx.counts[kb]);
+            let q = cinv.block(oa, oa + na, ob, ob + nb);
+            let w = q.matmul(&problem.states()[kb].basis)?;
+            let ba = &problem.states()[ka].basis;
+            let mut acc = vec![0.0; m];
+            for n in 0..na {
+                for ((a, &b), &wv) in acc.iter_mut().zip(ba.row(n)).zip(w.row(n)) {
+                    *a += b * wv;
                 }
+            }
+            Ok::<Vec<f64>, CbmfError>(acc)
+        });
+        let mut t_all = vec![0.0; m * k * k];
+        for (&(ka, kb), acc) in pairs.iter().zip(pair_sums) {
+            for (t, &v) in t_all.chunks_exact_mut(k * k).zip(&acc?) {
+                t[ka * k + kb] = v;
+                t[kb * k + ka] = v;
             }
         }
         // Σp^m = λ_m·R − λ_m²·R·T_m·R.
         let r = prior.r();
+        let mut t = Matrix::zeros(k, k);
         let mut sigma_blocks: Vec<Option<Matrix>> = Vec::with_capacity(m);
-        for (mi, t) in t_blocks.into_iter().enumerate() {
-            let Some(t) = t else {
+        for mi in 0..m {
+            if !active[mi] {
                 sigma_blocks.push(None);
                 continue;
-            };
+            }
+            t.as_mut_slice()
+                .copy_from_slice(&t_all[mi * k * k..(mi + 1) * k * k]);
             let rt = r.matmul(&t)?;
             let rtr = rt.matmul(r)?;
             let lm = lambda[mi];

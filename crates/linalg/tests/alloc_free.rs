@@ -7,17 +7,31 @@
 //!
 //! Proven with the counting global allocator shared with the trace and
 //! serve allocation tests (`tests/support/counting_alloc.rs`, which counts
-//! the measuring thread only), not asserted by inspection.
+//! the measuring thread and the pool chunks it hands out), not asserted by
+//! inspection.
+
+use std::sync::{Mutex, MutexGuard};
 
 use cbmf_linalg::block::{with_config, BlockConfig};
 use cbmf_linalg::Matrix;
+use cbmf_parallel::workspace::{self, WORKSPACE_SLOTS};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 use counting_alloc::allocations_during;
 
+/// The blocked kernels draw packing buffers from the process-global
+/// workspace pool. Two of these tests running at once would need more pooled
+/// workspaces than either warmed up, and a fresh one allocates; they take
+/// turns instead.
+fn workspace_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn blocked_gemm_and_syrk_allocate_nothing_in_steady_state() {
+    let _l = workspace_lock();
     let cfg = BlockConfig {
         min_macs: 0, // force the blocked path regardless of size
         ..BlockConfig::default()
@@ -28,8 +42,6 @@ fn blocked_gemm_and_syrk_allocate_nothing_in_steady_state() {
     let mut prod = Matrix::zeros(96, 96);
     let mut gram = Matrix::zeros(96, 96);
 
-    // Serial so the kernels run inline (a scoped thread spawn allocates by
-    // design; the per-call contract is about the kernels themselves).
     cbmf_parallel::with_threads(1, || {
         with_config(cfg, || {
             // Warm-up: first calls may grow the pooled packing buffers to
@@ -72,4 +84,60 @@ fn streaming_into_kernels_allocate_nothing() {
         });
         assert_eq!(count, 0, "streaming _into kernels must not allocate");
     });
+}
+
+/// The same contract at two threads, where `par_row_blocks_mut` hands
+/// macro-panels to a pool worker: neither the dispatch nor the chunks
+/// allocate, on the calling thread or on the worker.
+#[test]
+fn two_thread_blocked_gemm_allocates_nothing_in_steady_state() {
+    let _l = workspace_lock();
+    // Small panels so the 96-row output splits into two chunks of whole
+    // 16-row macro-panels.
+    let cfg = BlockConfig {
+        mc: 16,
+        kc: 64,
+        nc: 64,
+        min_macs: 0,
+        ..BlockConfig::default()
+    };
+    let a = Matrix::from_fn(96, 96, |i, j| ((i * 7 + j * 13) % 23) as f64 * 0.1 - 1.0);
+    let b = Matrix::from_fn(96, 96, |i, j| ((i * 5 + j * 11) % 19) as f64 * 0.1 - 0.9);
+    let mut prod = Matrix::zeros(96, 96);
+    let mut gram = Matrix::zeros(96, 96);
+
+    // A two-thread call holds three workspaces at once (the B panel on the
+    // caller, an A panel in each chunk), and which pooled workspace serves
+    // which role varies between calls. Grow every slot of four workspaces
+    // past the largest panel so every role finds its buffer full-size.
+    let mut held: Vec<_> = (0..4).map(|_| workspace::acquire()).collect();
+    for ws in &mut held {
+        for slot in 0..WORKSPACE_SLOTS {
+            ws.slot(slot, 96 * 96);
+        }
+    }
+    drop(held);
+
+    cbmf_parallel::with_threads(2, || {
+        with_config(cfg, || {
+            // Warm-up: starts the pool's workers.
+            for _ in 0..3 {
+                a.matmul_into(&b, &mut prod).expect("shapes");
+                a.gram_into(&mut gram).expect("shapes");
+            }
+            let count = allocations_during(|| {
+                for _ in 0..20 {
+                    a.matmul_into(&b, &mut prod).expect("shapes");
+                    a.gram_into(&mut gram).expect("shapes");
+                }
+            });
+            assert_eq!(
+                count, 0,
+                "steady-state two-thread blocked GEMM/SYRK must not touch the heap"
+            );
+        });
+    });
+    let serial = cbmf_parallel::with_threads(1, || with_config(cfg, || a.matmul(&b).unwrap()));
+    assert_eq!(prod, serial, "two-thread product must match the serial one");
+    std::hint::black_box(&gram);
 }

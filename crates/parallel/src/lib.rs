@@ -1,15 +1,16 @@
-//! Deterministic scoped-thread parallelism for the C-BMF workspace.
+//! Deterministic fork-join parallelism for the C-BMF workspace.
 //!
 //! The registry this environment builds against has no `rayon`, so this crate
 //! supplies the small parallel vocabulary the fitting stack needs, built on
-//! `std::thread::scope`:
+//! one process-wide pool of parked worker threads:
 //!
-//! - [`max_threads`] — the pool width, from `RAYON_NUM_THREADS` (the env var
+//! - [`max_threads`] — the chunk width, from `RAYON_NUM_THREADS` (the env var
 //!   rayon users already know) or the machine's available parallelism;
 //! - [`with_threads`] — a scoped in-process override so benches and the
 //!   determinism test can compare thread counts without re-exec'ing;
-//! - [`par_map_indexed`] / [`par_for_each_chunk`] — statically partitioned
-//!   maps whose outputs are concatenated in index order;
+//! - [`par_map_indexed`] / [`par_for_each_chunk`] / [`par_rows_mut`] /
+//!   [`par_row_blocks_mut`] — statically partitioned fork-joins whose
+//!   outputs land in index order;
 //! - [`workspace`] — a global pool of grow-only scratch buffers so kernel
 //!   hot loops (packing panels, per-tile scratch) allocate nothing in steady
 //!   state;
@@ -19,13 +20,26 @@
 //!
 //! # Determinism policy
 //!
-//! Work is split into *contiguous index chunks*, one per worker, and results
-//! are stitched back in index order. Each index is computed independently, so
-//! a parallel map is **bitwise identical** to its sequential counterpart at
-//! any thread count. Only kernels that change the *order of floating-point
-//! reduction* (none in this crate) can deviate; callers that reduce must
-//! either reduce sequentially over the map output (exact) or document their
-//! tolerance.
+//! Work is split into `max_threads()` *contiguous index chunks* (fewer when
+//! the input is small), and results are stitched back in index order. Each
+//! index is computed independently, so a parallel map is **bitwise
+//! identical** to its sequential counterpart at any thread count. Only
+//! kernels that change the *order of floating-point reduction* (none in
+//! this crate) can deviate; callers that reduce must either reduce
+//! sequentially over the map output (exact) or document their tolerance.
+//!
+//! # Execution
+//!
+//! The chunks of a fork-join are claimed by the calling thread and by the
+//! `available_parallelism − 1` pool workers, which start on the first
+//! fork-join and sleep on a condvar while idle. The chunk width never
+//! changes the number of OS threads: `with_threads(8)` on a 2-core host
+//! makes 8 chunks for 2 threads. A fork-join issued from inside a chunk, or
+//! while another thread's fork-join owns the pool, runs its chunks inline
+//! in order. Chunks must therefore never wait for one another. A panic in
+//! any chunk is re-raised on the caller once every chunk has finished, and
+//! the pool stays usable. Every chunk runs with a root trace-span path
+//! ([`cbmf_trace::with_root_path`]), whichever thread runs it.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -33,16 +47,20 @@ use std::thread;
 
 use cbmf_trace::Counter;
 
+mod pool;
 pub mod swap;
 pub mod workspace;
 
+#[doc(hidden)]
+pub use pool::{inherited_word, replace_inherited_word};
 pub use swap::SwapSlot;
 
-/// Fork-joins that actually spawned scoped workers.
+/// Fork-joins whose chunks were offered to the pool's workers.
 static FORK_JOINS: Counter = Counter::new("parallel.fork_joins");
-/// Worker chunks spawned across all fork-joins.
+/// Chunks that pool workers (not the calling thread) ran.
 static CHUNKS_SPAWNED: Counter = Counter::new("parallel.chunks_spawned");
-/// Calls that ran inline (single thread available or input below grain).
+/// Calls that ran inline: a single thread, an input below grain, or a
+/// fork-join issued while the pool was owned (nested or concurrent).
 static INLINE_RUNS: Counter = Counter::new("parallel.inline_runs");
 
 thread_local! {
@@ -56,7 +74,9 @@ thread_local! {
 /// of the small products it gates.
 static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
-/// Returns the number of worker threads parallel helpers may use.
+/// Returns the parallel width: how many chunks a fork-join splits its work
+/// into (fewer for small inputs). It sets the partition only; the chunks run
+/// on the calling thread and the pool's fixed set of workers.
 ///
 /// Resolution order: [`with_threads`] override, then `RAYON_NUM_THREADS`
 /// (values `< 1` are treated as unset), then
@@ -84,10 +104,11 @@ pub fn max_threads() -> usize {
 
 /// Runs `f` with [`max_threads`] forced to `n` on the current thread.
 ///
-/// Parallel helpers called transitively from `f` observe the override; other
-/// threads are unaffected. Benches use this to time serial vs parallel
-/// kernels in one process, and the determinism test uses it to prove results
-/// match across thread counts.
+/// Parallel helpers called transitively from `f` observe the override, and
+/// so do the chunks pool workers run for them; other threads are
+/// unaffected. Benches use this to time serial vs parallel kernels in one
+/// process, and the determinism test uses it to prove results match across
+/// thread counts.
 pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     assert!(n >= 1, "with_threads requires n >= 1");
     let prev = THREAD_OVERRIDE.with(|c| c.replace(n));
@@ -103,29 +124,38 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Splits `n` items over `workers` as contiguous `[start, end)` chunks, the
-/// first `n % workers` chunks one longer. Returns an empty vec when `n == 0`.
-pub fn chunk_ranges(n: usize, workers: usize) -> Vec<(usize, usize)> {
-    if n == 0 {
-        return Vec::new();
+/// Bounds `[start, end)` of chunk `c` when `n` items are split into
+/// `chunks` contiguous chunks (`1 <= chunks <= n`), the first `n % chunks`
+/// one longer. Every helper below partitions this way.
+fn chunk_bounds(n: usize, chunks: usize, c: usize) -> (usize, usize) {
+    let (base, extra) = (n / chunks, n % chunks);
+    let start = c * base + c.min(extra);
+    (start, start + base + usize::from(c < extra))
+}
+
+/// A raw pointer the chunks of one fork-join share; each chunk touches only
+/// its own disjoint range of the pointee.
+struct SharedPtr<T>(*mut T);
+// SAFETY: chunks write disjoint ranges, and only `T: Send` values cross
+// threads through it.
+unsafe impl<T: Send> Sync for SharedPtr<T> {}
+
+impl<T> SharedPtr<T> {
+    /// The pointee's element `i`. (A method, so closures capture the whole
+    /// `Sync` wrapper rather than its raw-pointer field.)
+    ///
+    /// # Safety
+    ///
+    /// `i` must be in bounds of the allocation.
+    unsafe fn at(&self, i: usize) -> *mut T {
+        self.0.add(i)
     }
-    let workers = workers.clamp(1, n);
-    let base = n / workers;
-    let extra = n % workers;
-    let mut out = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
 }
 
 /// Maps `f` over `0..n`, in parallel when `n` crosses `grain` and more than
 /// one thread is available; output order is always `f(0), f(1), …, f(n-1)`.
 ///
-/// `grain` is the minimum number of indices per worker worth a thread spawn;
+/// `grain` is the minimum number of indices per chunk worth a hand-off;
 /// below `2 * grain` the map runs inline on the caller's thread.
 pub fn par_map_indexed<T, F>(n: usize, grain: usize, f: F) -> Vec<T>
 where
@@ -137,25 +167,20 @@ where
         INLINE_RUNS.inc();
         return (0..n).map(f).collect();
     }
-    let workers = threads.min(n / grain.max(1)).max(1);
-    let ranges = chunk_ranges(n, workers);
-    FORK_JOINS.inc();
-    CHUNKS_SPAWNED.add(ranges.len() as u64);
-    let mut pieces: Vec<Vec<T>> = Vec::with_capacity(ranges.len());
-    thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| scope.spawn(move || (start..end).map(f).collect::<Vec<T>>()))
-            .collect();
-        for h in handles {
-            pieces.push(h.join().expect("parallel worker panicked"));
+    let chunks = threads.min(n / grain.max(1));
+    let mut out = Vec::<T>::with_capacity(n);
+    let dst = SharedPtr(out.as_mut_ptr());
+    pool::fork_join(chunks, &|c| {
+        let (start, end) = chunk_bounds(n, chunks, c);
+        for i in start..end {
+            // SAFETY: `i < n <= capacity`, and each index is written once.
+            unsafe { dst.at(i).write(f(i)) };
         }
     });
-    let mut out = Vec::with_capacity(n);
-    for piece in pieces {
-        out.extend(piece);
-    }
+    // SAFETY: `fork_join` returned normally, so every chunk ran to the end
+    // and all `n` slots are initialised. (On a panic it unwinds instead and
+    // the written elements are leaked, never read.)
+    unsafe { out.set_len(n) };
     out
 }
 
@@ -175,15 +200,10 @@ where
         }
         return;
     }
-    let workers = threads.min(n / grain.max(1)).max(1);
-    let ranges = chunk_ranges(n, workers);
-    FORK_JOINS.inc();
-    CHUNKS_SPAWNED.add(ranges.len() as u64);
-    thread::scope(|scope| {
-        for &(start, end) in &ranges {
-            let f = &f;
-            scope.spawn(move || f(start, end));
-        }
+    let chunks = threads.min(n / grain.max(1));
+    pool::fork_join(chunks, &|c| {
+        let (start, end) = chunk_bounds(n, chunks, c);
+        f(start, end);
     });
 }
 
@@ -210,21 +230,16 @@ where
         }
         return;
     }
-    let workers = threads.min(n / grain_rows.max(1)).max(1);
-    let ranges = chunk_ranges(n, workers);
-    FORK_JOINS.inc();
-    CHUNKS_SPAWNED.add(ranges.len() as u64);
-    thread::scope(|scope| {
-        let mut rest = data;
-        let mut consumed = 0;
-        for &(start, end) in &ranges {
-            let (head, tail) = rest.split_at_mut((end - start) * stride);
-            rest = tail;
-            debug_assert_eq!(consumed, start);
-            consumed = end;
-            let f = &f;
-            scope.spawn(move || f(start, head));
-        }
+    let chunks = threads.min(n / grain_rows.max(1));
+    let base = SharedPtr(data.as_mut_ptr());
+    pool::fork_join(chunks, &|c| {
+        let (start, end) = chunk_bounds(n, chunks, c);
+        // SAFETY: chunks cover disjoint row ranges of `data`, which stays
+        // mutably borrowed until every chunk has finished.
+        let rows = unsafe {
+            std::slice::from_raw_parts_mut(base.at(start * stride), (end - start) * stride)
+        };
+        f(start, rows);
     });
 }
 
@@ -254,27 +269,27 @@ pub fn par_row_blocks_mut<F>(
     let n = data.len() / stride;
     let blocks = n.div_ceil(block_rows);
     let threads = max_threads();
-    let workers = threads.min(blocks).min((n / grain_rows.max(1)).max(1));
-    if workers <= 1 || n < 2 * grain_rows.max(1) {
+    let chunks = threads.min(blocks).min((n / grain_rows.max(1)).max(1));
+    if chunks <= 1 || n < 2 * grain_rows.max(1) {
         INLINE_RUNS.inc();
         if n > 0 {
             f(0, data);
         }
         return;
     }
-    let ranges = chunk_ranges(blocks, workers);
-    FORK_JOINS.inc();
-    CHUNKS_SPAWNED.add(ranges.len() as u64);
-    thread::scope(|scope| {
-        let mut rest = data;
-        for &(bstart, bend) in &ranges {
-            let row_start = bstart * block_rows;
-            let row_end = (bend * block_rows).min(n);
-            let (head, tail) = rest.split_at_mut((row_end - row_start) * stride);
-            rest = tail;
-            let f = &f;
-            scope.spawn(move || f(row_start, head));
-        }
+    let base = SharedPtr(data.as_mut_ptr());
+    pool::fork_join(chunks, &|c| {
+        let (bstart, bend) = chunk_bounds(blocks, chunks, c);
+        let row_start = bstart * block_rows;
+        let row_end = (bend * block_rows).min(n);
+        // SAFETY: as in `par_rows_mut`; block ranges are disjoint.
+        let rows = unsafe {
+            std::slice::from_raw_parts_mut(
+                base.at(row_start * stride),
+                (row_end - row_start) * stride,
+            )
+        };
+        f(row_start, rows);
     });
 }
 
@@ -284,13 +299,10 @@ mod tests {
 
     #[test]
     fn chunk_ranges_partition_exactly() {
-        for n in [0usize, 1, 7, 16, 33] {
+        for n in [1usize, 7, 16, 33] {
             for w in [1usize, 2, 3, 8, 40] {
-                let ranges = chunk_ranges(n, w);
-                if n == 0 {
-                    assert!(ranges.is_empty());
-                    continue;
-                }
+                let w = w.min(n);
+                let ranges: Vec<_> = (0..w).map(|c| chunk_bounds(n, w, c)).collect();
                 assert_eq!(ranges.first().unwrap().0, 0);
                 assert_eq!(ranges.last().unwrap().1, n);
                 for pair in ranges.windows(2) {

@@ -1,10 +1,11 @@
 //! Pooled scratch workspaces for allocation-free hot loops.
 //!
 //! The blocked kernels in `cbmf-linalg` need packing buffers and per-call
-//! scratch, and the fork-join helpers in this crate spawn *fresh* scoped
-//! threads per call — a `thread_local!` buffer would die with its worker and
-//! allocate again on the next fork-join. Instead, workspaces live in a
-//! process-global pool: [`acquire`] pops one (or creates the first), the
+//! scratch, sized per call and per role. A chunk may run on the calling
+//! thread or on any pool worker, and the calling thread holds one buffer
+//! role (the packed B panel) while its own chunk needs another, so a
+//! per-thread buffer would not converge to one size per role. Instead,
+//! workspaces live in a process-global pool: [`acquire`] pops one (or creates the first), the
 //! returned guard hands out grow-only `f64` buffers, and dropping the guard
 //! returns the workspace to the pool. In steady state — once every buffer has
 //! reached its high-water mark — an acquire/use/release cycle performs zero

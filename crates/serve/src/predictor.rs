@@ -287,8 +287,9 @@ impl BatchPredictor {
         let mut vars = Matrix::zeros(n, k);
         let tile = self.tile_rows;
         // Tiles run sequentially: the triangular solve inside predict_tile
-        // already fans the tile's columns out over cbmf-parallel, and
-        // nesting fork-joins would multiply thread counts for no gain.
+        // already fans the tile's columns out over cbmf-parallel, and a
+        // fork-join nested inside a chunk runs inline, so fanning the tiles
+        // out as well would gain nothing.
         let mut lo = 0;
         while lo < n {
             let hi = (lo + tile).min(n);

@@ -27,8 +27,9 @@ fn test_model() -> PerStateModel {
 /// Warm up, then count a steady-state batch; assert only the output matrix
 /// allocates and the bits match the warm run.
 fn assert_steady_state(predictor: &BatchPredictor, xs: &Matrix, label: &str) {
-    // Serial so the row loop runs inline (a scoped thread spawn allocates
-    // by design; the contract is about the per-row work itself).
+    // Serial so the row loop runs inline (the contract is about the per-row
+    // work itself; the two-thread dispatch is pinned in cbmf-linalg's
+    // alloc_free test).
     cbmf_parallel::with_threads(1, || {
         // Warm-up: seeds the pooled workspace's scratch buffer.
         let warm = predictor.predict_batch(xs).expect("shapes");

@@ -34,12 +34,13 @@
 //!
 //! # Threading model
 //!
-//! Counters and gauges are global atomics: increments from worker threads
-//! spawned by `cbmf-parallel` fork-joins land in the same cells as main-
-//! thread increments, so aggregation across a scoped fan-out is automatic.
-//! Span paths are per-thread (a worker's spans form their own root), which
-//! keeps the guard free of cross-thread handoff; the fitting stack opens its
-//! coarse spans on the orchestrating thread.
+//! Counters and gauges are global atomics: increments from the pool workers
+//! of `cbmf-parallel` fork-joins land in the same cells as main-thread
+//! increments, so aggregation across a fan-out is automatic. Span paths are
+//! per-thread, and every fork-join chunk runs under [`with_root_path`] (its
+//! spans form their own root, whichever thread runs it), which keeps the
+//! guard free of cross-thread handoff; the fitting stack opens its coarse
+//! spans on the orchestrating thread.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -450,6 +451,26 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Runs `f` with no span open on this thread, then restores the thread's
+/// open spans (on unwind too). Spans opened inside `f` aggregate under root
+/// paths, as if `f` ran on a fresh thread: the fork-join layer runs every
+/// chunk this way, so a chunk's span path does not depend on which thread
+/// — the issuing one or a pool worker — happened to run it.
+pub fn with_root_path<T>(f: impl FnOnce() -> T) -> T {
+    if !enabled() {
+        return f();
+    }
+    struct Restore(Vec<&'static str>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let outer = std::mem::take(&mut self.0);
+            SPAN_STACK.with(|s| *s.borrow_mut() = outer);
+        }
+    }
+    let _restore = Restore(SPAN_STACK.with(|s| std::mem::take(&mut *s.borrow_mut())));
+    f()
+}
+
 /// RAII guard for one span activation; created by [`span`]. Dropping it
 /// records the elapsed time under the thread's current span path.
 #[must_use = "a span measures the scope it is bound to; bind it to a named local"]
@@ -477,10 +498,10 @@ pub fn span(name: &'static str) -> SpanGuard {
 
 /// The `/`-joined path of the spans currently open on this thread —
 /// `"fit/em"` inside `span("fit")` then `span("em")`. Empty when tracing is
-/// disabled or no span is open. Worker threads of a parallel region have
-/// their own (empty) stacks, so the path identifies the *orchestrating*
-/// pipeline stage; fault-injection tooling uses it to scope failures to a
-/// stage deterministically at any thread count.
+/// disabled or no span is open. Every chunk of a parallel region runs under
+/// [`with_root_path`], so the path identifies the *orchestrating* pipeline
+/// stage; fault-injection tooling uses it to scope failures to a stage
+/// deterministically at any thread count.
 pub fn current_path() -> String {
     if !enabled() {
         return String::new();

@@ -36,8 +36,8 @@ fn counters_aggregate_exactly_across_fork_joins() {
     reset();
     static FORK: Counter = Counter::new("test.fork.adds");
     const N: usize = 10_000;
-    // Tiny grain forces many chunks; with_threads(8) forces real spawns even
-    // on a single-core host.
+    // Tiny grain forces many chunks; with_threads(8) forces a real
+    // fork-join (8 chunks over the calling thread and the pool).
     let out = cbmf_parallel::with_threads(8, || {
         cbmf_parallel::par_map_indexed(N, 16, |i| {
             FORK.add(2);
@@ -78,8 +78,8 @@ fn gauge_maximize_is_race_free() {
     clear_enabled_override();
 }
 
-/// Span paths are per-thread: each fork-join worker builds its own root, so
-/// a span opened inside a worker does not inherit the orchestrating
+/// Span paths are per-thread and every fork-join chunk runs with a root
+/// path, so a span opened inside a chunk does not inherit the orchestrating
 /// thread's open path, and all activations still aggregate by path.
 #[test]
 #[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
